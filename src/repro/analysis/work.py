@@ -23,29 +23,58 @@ Counting rules
 Every model counts **element comparisons** — probes of neighbour-list
 values against neighbour-list values (merge steps, binary-search probes,
 hash-slot inspections, bitmap bit tests).  Index arithmetic, prefix-scan
-bookkeeping, and bucket-fill loads are excluded.  All counts are exact
-replays of the kernel control flow except where noted:
+bookkeeping, and bucket-fill loads are excluded.  Every count is exact:
+it equals a per-edge replay of the kernel's control flow, which
+``tests/test_work_metrics.py`` runs as the reference.
+
+The models never replay a search.  They read one **rank index** per graph
+(:class:`_RankIndex`, built on first use and cached on the frozen CSR).
+For every oriented edge ``(u, v)`` with ``A = N+(u)`` and ``B = N+(v)`` it
+holds the rank (count of smaller elements) and the membership of each
+``x in A`` within ``B`` and of each ``y in B`` within ``A``, from two global
+``searchsorted`` calls over the row-major encoding of the CSR.
+
+CSR rows are strictly increasing, so comparing a key with a table element
+is decided by positions alone: ``table[mid] < key`` iff ``mid < rank`` and
+``table[mid] == key`` iff the key is a hit at ``mid == rank``.  The path of
+the kernels' early-exit ``while lo < hi`` binary search therefore depends
+only on the table length, the key's rank and whether it hits, and
+``mid = (lo + hi) >> 1`` makes every sub-interval search like a fresh one
+of its own length.  :func:`_probe_depths` tabulates the probe count of each
+outcome by that recursion, and a model sums table lookups.  A lower-bound
+search without early exit (Green's diagonal search) follows the same path
+as an early-exit search that misses at the answer's offset, so it reads the
+miss half of the same table.
 
 * ``Polak`` — closed form: the two-pointer merge of rows ``A``/``B``
   performs ``|{a <= c}| + |{b <= c}| - |A ∩ B|`` iterations, where
-  ``c = min(max A, max B)``.
-* ``Green`` — exact lockstep simulation of all 32 lanes per edge: the
-  merge-path diagonal search plus the budget-bounded slice merges.
-* ``TriCore`` / ``Fox`` — exact early-exit binary search of every query
+  ``c = min(max A, max B)``; the three terms are ranks and hits of the
+  row maxima.
+* ``Green`` — per edge and lane, the merge-path crossing of the lane's
+  diagonal ``d`` is ``i(d) = |{k : k + rank_B(a_k) < d}|`` (the kernel
+  takes ``a`` first on ties), and the diagonal search costs the miss-table
+  entry of its interval length at offset ``i(d)``.  The budgeted slice
+  merges take one iteration per merged element before the first list runs
+  out, except the ``b`` half of an equal pair whose ``a`` half the same
+  lane consumed: it is skipped unless a lane starts exactly on it.
+* ``TriCore`` / ``Fox`` — early-exit binary search of every query
   (shorter list) into its table (longer list); the two differ only in the
   tie rule when ``d(u) == d(v)``.
 * ``GroupTC`` — early-exit binary search with the u-row-tail table and the
-  1:32 flip rule.  The kernel's *memo-resume* optimisation (which narrows
-  a search using the previous hit of the same thread) is deliberately not
-  modelled: it depends on the work-list schedule, and the metric must stay
-  a pure function of the graph.  The owning-edge search over the shared
-  prefix array compares scan counters, not elements, and is excluded.
-* ``Hu`` — exact early-exit binary search of every 2-hop neighbour into
-  the root's row.
-* ``H-INDEX`` / ``TRUST`` — exact hash-probe counts.  The strided build
-  inserts each sorted row in ascending order, so a bucket's slot order is
+  1:32 flip rule; a rank in the tail is the rank in ``A`` minus the tail's
+  offset.  The kernel's *memo-resume* optimisation (which narrows a search
+  using the previous hit of the same thread) is deliberately not modelled:
+  it depends on the work-list schedule, and the metric must stay a pure
+  function of the graph.  The owning-edge search over the shared prefix
+  array compares scan counters, not elements, and is excluded.
+* ``Hu`` — early-exit binary search of every 2-hop neighbour into the
+  root's row.
+* ``H-INDEX`` / ``TRUST`` — hash-probe counts.  The strided build inserts
+  each sorted row in ascending order, so a bucket's slot order is
   ascending; a hit inspects its smaller same-bucket elements plus itself,
-  a miss inspects the whole bucket.
+  a miss inspects the whole bucket.  Per bucket count the index keeps each
+  entry's slot within its bucket (from one stable sort by ``(row,
+  bucket)``) and each bucket's fill; a hit's rank is its CSR position.
 * ``Bisson`` — bitmap bit tests over the full symmetric adjacency:
   ``sum over vertices w of d_full(w)^2``.
 
@@ -57,6 +86,7 @@ floor, for those rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,72 +101,161 @@ __all__ = [
 ]
 
 _I64 = np.int64
+_I32 = np.int32
+
+#: Green runs one warp per edge; each lane owns 1/32 of the merge path.
+_GREEN_LANES = 32
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
+# probe-depth tables
 
 
-def _encoded_rows(csr: CSRGraph) -> np.ndarray:
-    """Globally sorted ``u * n + x`` encoding of every CSR entry."""
-    n = _I64(csr.n)
-    if csr.n and int(n) * int(n) > np.iinfo(_I64).max:  # pragma: no cover
-        raise OverflowError("graph too large for encoded row queries")
-    return csr.edge_sources() * n + csr.col
+def _probe_depths(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, base)``: probes of the kernels' binary search, per outcome.
 
-
-def _rank_leq(csr: CSRGraph, encoded: np.ndarray, rows, caps) -> np.ndarray:
-    """``|{x in N(rows[k]) : x <= caps[k]}|`` for parallel arrays."""
-    rows = np.asarray(rows, dtype=_I64)
-    caps = np.asarray(caps, dtype=_I64)
-    needles = rows * _I64(csr.n) + caps
-    return np.searchsorted(encoded, needles, side="right") - csr.row_ptr[rows]
-
-
-def _expand_segments(starts, counts):
-    """(segment index, absolute position) for the concatenation of segments."""
-    counts = np.asarray(counts, dtype=_I64)
-    total = int(counts.sum())
-    seg = np.repeat(np.arange(counts.shape[0], dtype=_I64), counts)
-    ends = np.cumsum(counts)
-    offset = np.arange(total, dtype=_I64) - np.repeat(ends - counts, counts)
-    return seg, np.asarray(starts, dtype=_I64)[seg] + offset
-
-
-def _bisect_probes(col, t_start, t_len, keys) -> int:
-    """Total probes of the kernels' early-exit binary search, exactly.
-
-    Per query: ``while lo < hi`` over ``col[t_start : t_start + t_len]``,
-    one probe per iteration, breaking on equality.  Vectorised as a masked
-    lockstep loop — every active query advances one level per round.
+    A ``while lo < hi`` search with ``mid = (lo + hi) >> 1`` and an early
+    exit on equality, over a strictly increasing table of length ``L``, for
+    a key of rank ``r`` costs ``table[base[L] + 2 * r + hit]``.  Every
+    length in ``lengths`` gets all ``2L + 1`` outcomes (ranks ``0..L`` on a
+    miss, ``0..L-1`` on a hit); other lengths get none, so the table stays
+    proportional to the searches that use it.
     """
-    t_start = np.asarray(t_start, dtype=_I64)
-    t_len = np.asarray(t_len, dtype=_I64)
-    keys = np.asarray(keys, dtype=_I64)
-    lo = np.zeros(keys.shape[0], dtype=_I64)
-    hi = t_len.copy()
-    act = np.flatnonzero(hi > lo)
-    total = 0
-    while act.size:
-        mid = (lo[act] + hi[act]) >> 1
-        val = col[t_start[act] + mid]
-        total += int(act.size)
-        k = keys[act]
-        eq = val == k
-        lt = val < k
-        new_lo = np.where(lt, mid + 1, lo[act])
-        new_hi = np.where(lt, hi[act], mid)
-        lo[act] = new_lo
-        hi[act] = new_hi
-        act = act[~eq & (new_lo < new_hi)]
-    return total
+    wanted = {int(x) for x in np.flatnonzero(np.bincount(lengths))}
+    need, stack = {0}, list(wanted)
+    while stack:  # the sub-interval lengths every wanted length recurses into
+        length = stack.pop()
+        if length not in need:
+            need.add(length)
+            stack += [length >> 1, length - (length >> 1) - 1]
+    miss = {0: np.zeros(1, dtype=_I64)}
+    hit = {0: np.zeros(0, dtype=_I64)}
+    for length in sorted(need - {0}):
+        mid = length >> 1
+        right = length - mid - 1
+        # The first probe is table[mid]; smaller ranks continue left in an
+        # interval of length mid, larger ones right in one of length right.
+        miss[length] = 1 + np.concatenate([miss[mid], miss[right]])
+        hit[length] = 1 + np.concatenate([hit[mid], [0], hit[right]])
+    base = np.zeros(max(wanted, default=0) + 1, dtype=_I64)
+    parts, offset = [], 0
+    for length in sorted(wanted):
+        base[length] = offset
+        both = np.zeros(2 * length + 1, dtype=_I64)
+        both[0::2] = miss[length]
+        both[1::2] = hit[length]
+        parts.append(both)
+        offset += both.shape[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=_I64), base
 
 
-def _edge_rows(csr: CSRGraph):
-    eu = csr.edge_sources()
-    ev = csr.col
-    deg = csr.degrees
-    return eu, ev, deg[eu].astype(_I64), deg[ev].astype(_I64)
+def _search_probes(lengths, ranks, hits) -> int:
+    """Total probes of early-exit searches with these outcomes."""
+    if lengths.shape[0] == 0:
+        return 0
+    table, base = _probe_depths(lengths)
+    return int(table[base[lengths] + 2 * ranks.astype(_I64) + hits].sum())
+
+
+# ---------------------------------------------------------------------------
+# the shared per-graph rank index
+
+
+@dataclass(frozen=True)
+class _Side:
+    """Every key of one side of every oriented edge, ranked in the other.
+
+    Side ``a`` lists ``N(u)`` per edge ``(u, v)`` ranked in ``N(v)``; side
+    ``b`` lists ``N(v)`` ranked in ``N(u)``.  Entries of edge ``e`` sit at
+    ``off[e]:off[e + 1]`` in row order.
+    """
+
+    off: np.ndarray  #: (m + 1,) int64 segment offsets
+    seg: np.ndarray  #: int32 edge id of each entry
+    rank: np.ndarray  #: int32 count of smaller elements in the other row
+    hit: np.ndarray  #: bool, the key occurs in the other row
+    key_shift: np.ndarray  #: (m,) int64 CSR position of entry j is j + key_shift[seg[j]]
+    table_rows: np.ndarray  #: (m,) the other row of each edge
+
+    def positions(self, idx: np.ndarray) -> np.ndarray:
+        """CSR positions of the keys at entries ``idx``."""
+        return idx + self.key_shift[self.seg[idx]]
+
+
+class _RankIndex:
+    """Per-graph facts every work model reads; built once per CSR."""
+
+    def __init__(self, csr: CSRGraph) -> None:
+        self.csr = csr
+        self.eu = csr.edge_sources()
+        self.ev = csr.col
+        deg = csr.degrees
+        self.du = deg[self.eu]
+        self.dv = deg[self.ev]
+        self.lower_bound = int(np.minimum(self.du, self.dv).sum())
+        self._hash: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def of(cls, csr: CSRGraph) -> "_RankIndex":
+        """The index of ``csr``, cached on the frozen graph."""
+        cached = csr.__dict__.get("_rank_index")
+        if cached is None:
+            cached = cls(csr)
+            object.__setattr__(csr, "_rank_index", cached)
+        return cached
+
+    @cached_property
+    def _encoded(self) -> np.ndarray:
+        """Globally sorted ``u * n + x`` encoding of every CSR entry."""
+        n = self.csr.n
+        if n and n * n > np.iinfo(_I64).max:  # pragma: no cover
+            raise OverflowError("graph too large for encoded row queries")
+        return self.eu * _I64(n) + self.ev
+
+    def _side(self, key_rows, table_rows, counts) -> _Side:
+        csr = self.csr
+        off = np.zeros(csr.m + 1, dtype=_I64)
+        np.cumsum(counts, out=off[1:])
+        seg = np.repeat(np.arange(csr.m, dtype=_I32), counts)
+        key_shift = csr.row_ptr[key_rows] - off[:-1]
+        keys = csr.col[np.arange(seg.shape[0], dtype=_I64) + key_shift[seg]]
+        needle = table_rows[seg] * _I64(csr.n) + keys
+        found = np.searchsorted(self._encoded, needle)
+        hit = np.zeros(needle.shape[0], dtype=bool)
+        inside = found < csr.m
+        hit[inside] = self._encoded[found[inside]] == needle[inside]
+        rank = found - csr.row_ptr[table_rows][seg]
+        return _Side(off, seg, rank.astype(_I32), hit, key_shift, table_rows)
+
+    @cached_property
+    def a(self) -> _Side:
+        """``N(u)`` of every edge ``(u, v)``, ranked in ``N(v)``."""
+        return self._side(self.eu, self.ev, self.du)
+
+    @cached_property
+    def b(self) -> _Side:
+        """``N(v)`` of every edge ``(u, v)``, ranked in ``N(u)``."""
+        return self._side(self.ev, self.eu, self.dv)
+
+    def hash_slots(self, num_buckets: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(slot, fill)`` of the bucketed hash of every row.
+
+        ``slot[p]`` is how many same-bucket elements precede CSR entry
+        ``p`` in its row; ``fill[row * num_buckets + bucket]`` is the size
+        of that bucket.
+        """
+        cached = self._hash.get(num_buckets)
+        if cached is None:
+            csr = self.csr
+            code = self.eu * _I64(num_buckets) + self.ev % num_buckets
+            # A stable sort keeps each bucket's elements in row (ascending) order.
+            order = np.argsort(code, kind="stable")
+            fill = np.bincount(code, minlength=csr.n * num_buckets)
+            first = np.cumsum(fill) - fill
+            slot = np.empty(csr.m, dtype=_I32)
+            slot[order] = np.arange(csr.m, dtype=_I64) - first[code[order]]
+            cached = self._hash[num_buckets] = (slot, fill.astype(_I32))
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +264,7 @@ def _edge_rows(csr: CSRGraph):
 
 def lower_bound_comparisons(csr: CSRGraph) -> int:
     """Instance-optimal comparison lower bound over the oriented edges."""
-    if csr.m == 0:
-        return 0
-    _, _, du, dv = _edge_rows(csr)
-    return int(np.minimum(du, dv).sum())
+    return _RankIndex.of(csr).lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -156,83 +272,64 @@ def lower_bound_comparisons(csr: CSRGraph) -> int:
 
 
 def _polak_comparisons(csr: CSRGraph) -> int:
-    from ..intersect.binsearch import batch_edge_intersection_counts
-
-    if csr.m == 0:
-        return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
-        return 0
-    # Row maxima (the merge stops once the pointer whose row maximum is
-    # smaller runs off the end).
-    last = np.full(csr.n, -1, dtype=_I64)
-    nz = csr.degrees > 0
-    last[nz] = csr.col[csr.row_ptr[1:][nz] - 1]
-    stop = np.minimum(last[eu[live]], last[ev[live]])
-    encoded = _encoded_rows(csr)
-    cu = _rank_leq(csr, encoded, eu[live], stop)
-    cv = _rank_leq(csr, encoded, ev[live], stop)
-    matches = batch_edge_intersection_counts(csr)[live]
-    return int((cu + cv - matches).sum())
+    ix = _RankIndex.of(csr)
+    a, b = ix.a, ix.b
+    live = ix.dv > 0
+    # |{a <= max B}| and |{b <= max A}| from the ranks of the row maxima;
+    # one of them is the full row, whichever maximum is smaller.
+    last_a = a.off[1:][live] - 1
+    last_b = b.off[1:][live] - 1
+    cu = b.rank[last_b].astype(_I64) + b.hit[last_b]
+    cv = a.rank[last_a].astype(_I64) + a.hit[last_a]
+    return int(cu.sum() + cv.sum()) - int(np.count_nonzero(a.hit))
 
 
 def _green_comparisons(csr: CSRGraph) -> int:
-    """Exact lane-lockstep replay of the Merge Path kernel, all 32 lanes."""
-    if csr.m == 0:
+    """Merge Path, all 32 lanes: diagonal searches plus slice merges."""
+    ix = _RankIndex.of(csr)
+    if not (ix.dv > 0).any():
         return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
-        return 0
-    us = csr.row_ptr[eu[live]].astype(_I64)
-    vs = csr.row_ptr[ev[live]].astype(_I64)
-    la = du[live]
-    lb = dv[live]
-    total_len = la + lb
-    lanes = np.arange(32, dtype=_I64)
-    # Per (edge, lane) diagonals, shape (edges, 32) flattened.
-    diag_lo = (total_len[:, None] * lanes[None, :]) // 32
-    diag_hi = (total_len[:, None] * (lanes[None, :] + 1)) // 32
-    us_l = np.broadcast_to(us[:, None], diag_lo.shape).ravel()
-    vs_l = np.broadcast_to(vs[:, None], diag_lo.shape).ravel()
-    la_l = np.broadcast_to(la[:, None], diag_lo.shape).ravel()
-    lb_l = np.broadcast_to(lb[:, None], diag_lo.shape).ravel()
-    diag_lo = diag_lo.ravel()
-    budget = (diag_hi.ravel() - diag_lo).astype(_I64)
-    col = csr.col
-    total = 0
-    # --- diagonal search: find each lane's merge-path crossing point.
-    lo = np.maximum(0, diag_lo - lb_l)
-    hi = np.minimum(diag_lo, la_l)
-    act = np.flatnonzero(lo < hi)
-    while act.size:
-        mid = (lo[act] + hi[act]) >> 1
-        av = col[us_l[act] + mid]
-        bv = col[vs_l[act] + diag_lo[act] - 1 - mid]
-        total += int(act.size)
-        le = av <= bv
-        new_lo = np.where(le, mid + 1, lo[act])
-        new_hi = np.where(le, hi[act], mid)
-        lo[act] = new_lo
-        hi[act] = new_hi
-        act = act[new_lo < new_hi]
-    # --- slice merge: each lane merges its budgeted span.
-    i = lo
-    j = diag_lo - lo
-    act = np.flatnonzero((budget > 0) & (i < la_l) & (j < lb_l))
-    while act.size:
-        av = col[us_l[act] + i[act]]
-        bv = col[vs_l[act] + j[act]]
-        total += int(act.size)
-        lt = av < bv
-        gt = bv < av
-        eq = ~lt & ~gt
-        i[act] += lt | eq
-        j[act] += gt | eq
-        budget[act] -= 1 + eq
-        act = act[(budget[act] > 0) & (i[act] < la_l[act]) & (j[act] < lb_l[act])]
-    return total
+    a, b = ix.a, ix.b
+    la, lb = ix.du, ix.dv
+    total = la + lb
+    # Merge-path positions: a_k sits at k + rank_B(a_k) in the merge of
+    # edge e, which occupies [a.off[e] + b.off[e], ...) of one global
+    # sequence; a running count of A marks gives every crossing i(d).
+    marks = np.zeros(a.seg.shape[0] + b.seg.shape[0] + 1, dtype=_I32)
+    marks[np.arange(a.seg.shape[0], dtype=_I64) + b.off[:-1][a.seg] + a.rank + 1] = 1
+    crossings = np.cumsum(marks, dtype=_I64)
+    origin = a.off[:-1] + b.off[:-1]
+
+    # --- diagonal search: a lower-bound search of each lane's crossing.
+    lanes = np.arange(_GREEN_LANES, dtype=_I64)
+    diag = (total[:, None] * lanes) // _GREEN_LANES
+    lo = np.maximum(diag - lb[:, None], 0)
+    length = np.minimum(diag, la[:, None]) - lo
+    offset = crossings[origin[:, None] + diag] - a.off[:-1, None] - lo
+    table, base = _probe_depths(length.ravel())
+    probes = int(table[base[length] + 2 * offset].sum())
+
+    # --- slice merges: one iteration per merged position before the
+    # first list runs out ...
+    live = lb > 0
+    last_a = a.off[1:][live] - 1
+    last_b = b.off[1:][live] - 1
+    exhausted = np.minimum(
+        la[live] + a.rank[last_a], lb[live] + b.rank[last_b] + b.hit[last_b]
+    )
+    probes += int(exhausted.sum())
+    # ... less the b half of each equal pair, consumed with its a half,
+    # unless that b opens a lane's slice (its a half closed the previous one).
+    stop = np.zeros(csr.m, dtype=_I64)
+    stop[live] = exhausted
+    paired = np.flatnonzero(b.hit)
+    seg = b.seg[paired]
+    pos = paired - b.off[:-1][seg] + b.rank[paired] + 1
+    span = total[seg]
+    lane = (_GREEN_LANES * pos + span - 1) // span
+    opens = lane * span < _GREEN_LANES * (pos + 1)
+    probes -= int(np.count_nonzero((pos < stop[seg]) & ~opens))
+    return probes
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +343,13 @@ def _edge_bisect_comparisons(csr: CSRGraph, queries_from_u) -> int:
     ``d(u) == d(v)`` (TriCore keeps the u side as the table, Fox as the
     queries).
     """
-    if csr.m == 0:
-        return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
-        return 0
-    eu, ev, du, dv = eu[live], ev[live], du[live], dv[live]
-    u_queries = (du <= dv) if queries_from_u else (du < dv)
-    q_rows = np.where(u_queries, eu, ev)
-    t_rows = np.where(u_queries, ev, eu)
-    q_starts = csr.row_ptr[q_rows].astype(_I64)
-    q_counts = csr.degrees[q_rows].astype(_I64)
-    seg, q_pos = _expand_segments(q_starts, q_counts)
-    return _bisect_probes(
-        csr.col,
-        csr.row_ptr[t_rows[seg]],
-        csr.degrees[t_rows[seg]],
-        csr.col[q_pos],
-    )
+    ix = _RankIndex.of(csr)
+    u_queries = (ix.du <= ix.dv) if queries_from_u else (ix.du < ix.dv)
+    total = 0
+    for side, edges, table_len in ((ix.a, u_queries, ix.dv), (ix.b, ~u_queries, ix.du)):
+        idx = np.flatnonzero(edges[side.seg])
+        total += _search_probes(table_len[side.seg[idx]], side.rank[idx], side.hit[idx])
+    return total
 
 
 def _tricore_comparisons(csr: CSRGraph) -> int:
@@ -278,119 +363,79 @@ def _fox_comparisons(csr: CSRGraph) -> int:
 def _grouptc_comparisons(csr: CSRGraph) -> int:
     from ..algorithms.grouptc import FLIP_RATIO
 
-    if csr.m == 0:
-        return 0
-    eu, ev, _, dv = _edge_rows(csr)
-    e = np.arange(csr.m, dtype=_I64)
-    u_start = e + 1
-    u_len = csr.row_ptr[eu + 1].astype(_I64) - u_start
-    v_start = csr.row_ptr[ev].astype(_I64)
-    v_len = dv
-    live = (u_len > 0) & (v_len > 0)
-    if not live.any():
-        return 0
-    u_start, u_len = u_start[live], u_len[live]
-    v_start, v_len = v_start[live], v_len[live]
-    flip = v_len * FLIP_RATIO < u_len
-    q_start = np.where(flip, u_start, v_start)
-    q_len = np.where(flip, u_len, v_len)
-    t_start = np.where(flip, v_start, u_start)
-    t_len = np.where(flip, v_len, u_len)
-    seg, q_pos = _expand_segments(q_start, q_len)
-    return _bisect_probes(csr.col, t_start[seg], t_len[seg], csr.col[q_pos])
+    ix = _RankIndex.of(csr)
+    a, b = ix.a, ix.b
+    # Edge e = (u, v) sits at position k_e of N(u); its table or query list
+    # on the u side is the tail of N(u) after v.
+    tail_at = np.arange(csr.m, dtype=_I64) - csr.row_ptr[ix.eu] + 1
+    tail_len = ix.du - tail_at
+    live = (tail_len > 0) & (ix.dv > 0)
+    flip = live & (ix.dv * FLIP_RATIO < tail_len)
+    # Flipped: the tail queries N(v).
+    idx = np.flatnonzero(flip[a.seg])
+    seg = a.seg[idx]
+    idx = idx[idx - a.off[:-1][seg] >= tail_at[seg]]
+    total = _search_probes(ix.dv[a.seg[idx]], a.rank[idx], a.hit[idx])
+    # Otherwise N(v) queries the tail: ranks shift by the tail's offset.
+    idx = np.flatnonzero((live & ~flip)[b.seg])
+    seg = b.seg[idx]
+    rank = b.rank[idx] - tail_at[seg]
+    hit = b.hit[idx] & (rank >= 0)
+    return total + _search_probes(tail_len[seg], np.maximum(rank, 0), hit)
 
 
 def _hu_comparisons(csr: CSRGraph) -> int:
-    if csr.m == 0:
-        return 0
-    eu, ev, du, _ = _edge_rows(csr)
     # Every 2-hop neighbour w of every wedge (u, v) is searched in N(u).
-    seg, q_pos = _expand_segments(
-        csr.row_ptr[ev].astype(_I64), csr.degrees[ev].astype(_I64)
-    )
-    return _bisect_probes(
-        csr.col, csr.row_ptr[eu[seg]], du[seg], csr.col[q_pos]
-    )
+    ix = _RankIndex.of(csr)
+    b = ix.b
+    return _search_probes(ix.du[b.seg], b.rank, b.hit)
 
 
 # ---------------------------------------------------------------------------
 # hash models
 
 
-def _hash_probe_total(csr, table_rows, keys, num_buckets) -> int:
-    """Exact slot inspections for probing ``keys[k]`` in the bucketed hash
-    of row ``table_rows[k]``.
-
-    The strided build inserts each (sorted) row in ascending order, so a
-    bucket holds its elements in ascending order.  A hit therefore
-    inspects every smaller same-bucket element plus the match; a miss
-    inspects the full bucket.
-    """
-    table_rows = np.asarray(table_rows, dtype=_I64)
-    keys = np.asarray(keys, dtype=_I64)
-    if keys.shape[0] == 0:
+def _hash_probes(ix: _RankIndex, side: _Side, edges, num_buckets: int) -> int:
+    """Slot inspections of every key of ``side`` on the ``edges`` mask,
+    each probing the bucketed hash of its edge's other row."""
+    idx = np.flatnonzero(edges[side.seg])
+    if idx.shape[0] == 0:
         return 0
-    n = _I64(max(csr.n, 1))
-    bcount = _I64(num_buckets)
-    if int(n) * int(n) * int(bcount) > np.iinfo(_I64).max:  # pragma: no cover
-        raise OverflowError("graph too large for encoded hash-probe queries")
-    # One globally sorted key per CSR entry: (row, bucket, value).
-    entry_key = (csr.edge_sources() * bcount + csr.col % bcount) * n + csr.col
-    entry_key = np.sort(entry_key)
-    q_bucket = table_rows * bcount + keys % bcount
-    b_start = np.searchsorted(entry_key, q_bucket * n)
-    b_end = np.searchsorted(entry_key, (q_bucket + 1) * n)
-    target = q_bucket * n + keys
-    pos = np.searchsorted(entry_key, target)
-    hit = np.zeros(keys.shape[0], dtype=bool)
-    inside = pos < entry_key.shape[0]
-    hit[inside] = entry_key[pos[inside]] == target[inside]
-    smaller = pos - b_start
-    fill = b_end - b_start
-    return int(np.where(hit, smaller + 1, fill).sum())
+    slot, fill = ix.hash_slots(num_buckets)
+    seg = side.seg[idx]
+    hit = side.hit[idx]
+    # A hit inspects its smaller same-bucket elements plus itself; its rank
+    # in the table row is its CSR position there.
+    found = ix.csr.row_ptr[side.table_rows[seg[hit]]] + side.rank[idx[hit]]
+    total = int(slot[found].sum()) + found.shape[0]
+    # A miss inspects the whole bucket of the table row.
+    miss = ~hit
+    keys = ix.csr.col[side.positions(idx[miss])]
+    bucket = side.table_rows[seg[miss]] * _I64(num_buckets) + keys % num_buckets
+    return total + int(fill[bucket].sum())
 
 
 def _hindex_comparisons(csr: CSRGraph) -> int:
     from ..algorithms.hindex import NUM_BUCKETS
 
-    if csr.m == 0:
-        return 0
-    eu, ev, du, dv = _edge_rows(csr)
-    live = (du > 0) & (dv > 0)
-    if not live.any():
-        return 0
-    eu, ev, du, dv = eu[live], ev[live], du[live], dv[live]
-    hash_u = du <= dv  # shorter list is hashed, longer list queries
-    h_rows = np.where(hash_u, eu, ev)
-    q_rows = np.where(hash_u, ev, eu)
-    seg, q_pos = _expand_segments(
-        csr.row_ptr[q_rows].astype(_I64), csr.degrees[q_rows].astype(_I64)
+    ix = _RankIndex.of(csr)
+    live = ix.dv > 0
+    hash_u = ix.du <= ix.dv  # shorter list is hashed, longer list queries
+    return _hash_probes(ix, ix.b, live & hash_u, NUM_BUCKETS) + _hash_probes(
+        ix, ix.a, live & ~hash_u, NUM_BUCKETS
     )
-    return _hash_probe_total(csr, h_rows[seg], csr.col[q_pos], NUM_BUCKETS)
 
 
 def _trust_comparisons(csr: CSRGraph) -> int:
     from ..algorithms.trust import BLOCK_DEGREE, MIN_DEGREE
 
-    if csr.m == 0:
-        return 0
-    eu, ev, _, _ = _edge_rows(csr)
-    deg = csr.degrees
-    total = 0
-    for tier, buckets in (
-        ((deg[eu] >= MIN_DEGREE) & (deg[eu] <= BLOCK_DEGREE), 32),
-        (deg[eu] > BLOCK_DEGREE, 1024),
-    ):
-        if not tier.any():
-            continue
-        tu, tv = eu[tier], ev[tier]
-        # N(u) is hashed once per tier vertex; every 2-hop neighbour
-        # x in N(w), w in N(u) probes it.
-        seg, q_pos = _expand_segments(
-            csr.row_ptr[tv].astype(_I64), deg[tv].astype(_I64)
-        )
-        total += _hash_probe_total(csr, tu[seg], csr.col[q_pos], buckets)
-    return total
+    ix = _RankIndex.of(csr)
+    du = ix.du
+    # N(u) is hashed once per tier vertex; every 2-hop neighbour
+    # x in N(w), w in N(u) probes it.
+    return _hash_probes(
+        ix, ix.b, (du >= MIN_DEGREE) & (du <= BLOCK_DEGREE), 32
+    ) + _hash_probes(ix, ix.b, du > BLOCK_DEGREE, 1024)
 
 
 # ---------------------------------------------------------------------------

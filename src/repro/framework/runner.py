@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import traceback
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from ..algorithms.base import TCAlgorithm, get_algorithm
 from ..gpu.costmodel import CostModel
@@ -21,6 +22,7 @@ from ..gpu.memory import DeviceOutOfMemory
 from ..gpu.sharedmem import SharedMemoryOverflow
 from ..graph.csr import CSRGraph
 from ..graph.datasets import get_spec, load_oriented, size_class
+from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 
 __all__ = [
@@ -169,6 +171,8 @@ def run_one(
         )
     m = result.metrics
     comparisons = work_ratio = None
+    registry = get_metrics()
+    t0 = perf_counter()
     try:
         from ..analysis.work import work_efficiency
 
@@ -176,9 +180,11 @@ def run_one(
         comparisons = float(we.comparisons)
         work_ratio = we.work_ratio
     except Exception as exc:  # metric must never fail a measured cell
+        registry.inc("work_metric_failures")
         tracer.warning(
             "work_metric_failed", algorithm=alg.name, dataset=dataset, error=str(exc)
         )
+    registry.inc("runner_work_model_s", perf_counter() - t0)
     return RunRecord(
         algorithm=alg.name,
         dataset=dataset,

@@ -130,6 +130,11 @@ def render_stats(frame: Mapping[str, Any]) -> str:
             "  engine stages: "
             + " ".join(f"{k}={_fmt_s(v)}" for k, v in stage.items())
         )
+    if counters.get("runner_work_model_s") or counters.get("work_metric_failures"):
+        lines.append(
+            f"  work model: {_fmt_s(counters.get('runner_work_model_s', 0))}"
+            f" failures={int(counters.get('work_metric_failures', 0))}"
+        )
     if counters.get("sim_launches"):
         lines.append(
             f"  launches={int(counters['sim_launches'])} "

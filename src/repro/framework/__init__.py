@@ -3,9 +3,11 @@
 * :mod:`~repro.framework.runner` — one (algorithm, dataset, device) cell,
   including paper-scale capacity checks (red-cross failures).
 * :mod:`~repro.framework.compare` — the full comparison matrix.
-* :mod:`~repro.framework.parallel` — process-pool fan-out for the matrix.
-* :mod:`~repro.framework.resilience` — checkpoint/resume journal, cell
-  timeouts with degrading retries, validation & quarantine, chaos harness.
+* :mod:`~repro.framework.pool` — supervised persistent worker processes,
+  the one executor behind the matrix, serve, cluster and sweeps.
+* :mod:`~repro.framework.resilience` — the matrix executor (``run_cells``),
+  checkpoint/resume journal, cell timeouts with degrading retries,
+  validation & quarantine, chaos harness.
 * :mod:`~repro.framework.scheduler` — priority job queue with deadlines,
   precision shedding, and worker supervision (shared by ``run_matrix``
   and the ``repro serve`` daemon).
@@ -23,7 +25,7 @@ from .cluster import (
     scaleout_curve,
 )
 from .compare import ComparisonMatrix, metric_maximizes, run_matrix
-from .parallel import default_jobs, parallel_starmap, run_cells
+from .pool import default_jobs, parallel_starmap
 from .resilience import (
     ChaosSpec,
     RetryPolicy,
@@ -32,7 +34,7 @@ from .resilience import (
     new_run_id,
     parse_chaos,
     run_cell_resilient,
-    run_cells_resilient,
+    run_cells,
     seeded_jitter,
     validate_record,
 )
@@ -94,7 +96,6 @@ __all__ = [
     "render_table2",
     "run_cell_resilient",
     "run_cells",
-    "run_cells_resilient",
     "run_cluster",
     "run_cluster_matrix",
     "run_matrix",

@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         "an id replays its unfinished jobs on boot",
     )
     sv.add_argument("--workers", type=int, default=2,
-                    help="scheduler worker threads (each runs killable "
-                    "subprocess attempts)")
+                    help="scheduler worker threads (each owns one "
+                    "persistent, killable worker process)")
     sv.add_argument("--max-queue-depth", type=int, default=64,
                     help="hard admission watermark: reject above this depth")
     sv.add_argument("--soft-queue-depth", type=int, default=16,

@@ -3,7 +3,7 @@
 The device-independent partitioning lives in :mod:`repro.gpu.cluster`;
 this module is the execution half.  It runs each partition subgraph on
 its own :class:`~repro.gpu.device.DeviceSpec` instance (optionally fanned
-over worker processes via :func:`~repro.framework.parallel.parallel_starmap`
+over worker processes via :func:`~repro.framework.pool.parallel_starmap`
 — the record/replay engine makes re-simulation of an already-traced
 partition replay-cheap), prices the inter-partition exchange with the
 device's link parameters, aggregates the nvprof-style counters, and folds
@@ -44,7 +44,7 @@ from ..graph.datasets import load_oriented
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 from .compare import ComparisonMatrix
-from .parallel import parallel_starmap
+from .pool import parallel_starmap
 from .resilience import RunJournal, _safe_size_class
 from .runner import DEFAULT_MAX_BLOCKS, RunRecord
 

@@ -1,10 +1,11 @@
 """Full comparison matrix: algorithms x datasets (the paper's Figures 11-13).
 
 :func:`run_matrix` executes every cell through :func:`~repro.framework.
-runner.run_one` — serially, or fanned out over worker processes via
-:mod:`repro.framework.parallel` when ``jobs != 1`` — and returns the
-records in a :class:`ComparisonMatrix` that the report module and the
-benchmark harness pivot into the paper's tables and figure series.
+runner.run_one` — serially in-process, or on supervised worker processes
+via :func:`repro.framework.resilience.run_cells` when ``jobs != 1`` or a
+resilience option is set — and returns the records in a
+:class:`ComparisonMatrix` that the report module and the benchmark
+harness pivot into the paper's tables and figure series.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from ..gpu.costmodel import CostModel
 from ..gpu.device import SIM_V100, TESLA_V100, DeviceSpec
 from ..graph.datasets import dataset_names
 from ..obs.tracer import get_tracer
+from .resilience import RetryPolicy, RunJournal, run_cells
 from .runner import DEFAULT_MAX_BLOCKS, RunRecord, run_one
 
 __all__ = ["ComparisonMatrix", "MAXIMIZE_METRICS", "metric_maximizes", "run_matrix"]
@@ -140,9 +142,11 @@ def run_matrix(
     detail of the same matrix.  ``progress_callback(record, done, total)``
     fires as each cell completes.
 
-    Any of ``run_id`` / ``resume`` / ``cell_timeout`` / ``retry_policy`` /
-    ``validate`` routes execution through the resilience layer
-    (:mod:`repro.framework.resilience`): ``run_id`` journals every
+    ``jobs != 1``, or any of ``run_id`` / ``resume`` / ``cell_timeout`` /
+    ``retry_policy`` / ``validate``, runs the cells through
+    :func:`repro.framework.resilience.run_cells`: a job scheduler whose
+    ``jobs`` threads each own one persistent worker process, re-forked
+    after a timeout or a death.  ``run_id`` journals every
     completed cell under ``.cache/runs/<run_id>/``; ``resume`` replays an
     interrupted run, skipping its completed cells; ``cell_timeout`` (or a
     full ``retry_policy``) kills over-budget cells and retries them at a
@@ -193,51 +197,7 @@ def run_matrix(
         or retry_policy is not None
         or validate
     )
-    if resilient:
-        from .resilience import RetryPolicy, RunJournal, run_cells_resilient
-
-        if run_id is not None and resume is not None and run_id != resume:
-            raise ValueError(
-                f"pass either run_id or resume, not two different ids "
-                f"({run_id!r} vs {resume!r})"
-            )
-        rid = resume if resume is not None else run_id
-        journal = RunJournal(rid) if rid else None
-        completed = {}
-        if journal is not None:
-            journal.check_or_write_meta({
-                "algorithms": list(algs),
-                "datasets": list(dsets),
-                "ordering": ordering,
-                "max_blocks_simulated": max_blocks_simulated,
-                "device": device.name,
-                "capacity_device": capacity_device.name,
-                "validate": validate,
-                "engine": engine,
-            })
-            if resume is not None:
-                completed = journal.completed()
-        policy = retry_policy
-        if policy is None and cell_timeout is not None:
-            policy = RetryPolicy(cell_timeout_s=cell_timeout)
-        records = run_cells_resilient(
-            cells,
-            jobs=jobs,
-            device=device,
-            capacity_device=capacity_device,
-            ordering=ordering,
-            max_blocks_simulated=max_blocks_simulated,
-            cost_model=cost_model,
-            engine=engine,
-            policy=policy,
-            validate=validate,
-            journal=journal,
-            completed=completed,
-            progress_callback=_notify,
-        )
-        return ComparisonMatrix(records=tuple(records), algorithms=algs, datasets=dsets)
-
-    if jobs == 1 or len(cells) <= 1:
+    if not resilient and (jobs == 1 or len(cells) <= 1):
         records: list[RunRecord] = []
         for alg, ds in cells:
             rec = run_one(
@@ -252,18 +212,45 @@ def run_matrix(
             )
             records.append(rec)
             _notify(rec, len(records), len(cells))
-    else:
-        from .parallel import run_cells
+        return ComparisonMatrix(records=tuple(records), algorithms=algs, datasets=dsets)
 
-        records = run_cells(
-            cells,
-            jobs=jobs,
-            device=device,
-            capacity_device=capacity_device,
-            ordering=ordering,
-            max_blocks_simulated=max_blocks_simulated,
-            cost_model=cost_model,
-            engine=engine,
-            progress_callback=_notify,
+    if run_id is not None and resume is not None and run_id != resume:
+        raise ValueError(
+            f"pass either run_id or resume, not two different ids "
+            f"({run_id!r} vs {resume!r})"
         )
+    rid = resume if resume is not None else run_id
+    journal = RunJournal(rid) if rid else None
+    completed = {}
+    if journal is not None:
+        journal.check_or_write_meta({
+            "algorithms": list(algs),
+            "datasets": list(dsets),
+            "ordering": ordering,
+            "max_blocks_simulated": max_blocks_simulated,
+            "device": device.name,
+            "capacity_device": capacity_device.name,
+            "validate": validate,
+            "engine": engine,
+        })
+        if resume is not None:
+            completed = journal.completed()
+    policy = retry_policy
+    if policy is None and cell_timeout is not None:
+        policy = RetryPolicy(cell_timeout_s=cell_timeout)
+    records = run_cells(
+        cells,
+        jobs=jobs,
+        device=device,
+        capacity_device=capacity_device,
+        ordering=ordering,
+        max_blocks_simulated=max_blocks_simulated,
+        cost_model=cost_model,
+        engine=engine,
+        policy=policy,
+        validate=validate,
+        journal=journal,
+        completed=completed,
+        progress_callback=_notify,
+    )
     return ComparisonMatrix(records=tuple(records), algorithms=algs, datasets=dsets)

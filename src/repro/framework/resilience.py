@@ -4,16 +4,18 @@ The paper's headline artefacts (Figures 11-13 and 15) come from a 9x19
 comparison matrix whose long-running cells used to die with the process: a
 crash, hang, or corrupt cache bundle forfeited every completed cell, and
 nothing cross-checked that a "successful" cell's triangle count was even
-correct.  This module is the layer around :func:`~repro.framework.parallel.
-run_cells` / :func:`~repro.framework.compare.run_matrix` that makes a full
-run survivable and trustworthy end to end:
+correct.  This module's :func:`run_cells` is the executor under
+:func:`~repro.framework.compare.run_matrix` whenever ``jobs != 1`` or a
+resilience option is set, and it makes a full run survivable and
+trustworthy end to end:
 
 * **journaled checkpoint/resume** — every completed :class:`RunRecord` is
   appended atomically to a JSONL journal under ``.cache/runs/<run_id>/``;
   ``run_matrix(resume=run_id)`` skips completed cells and replays only
   missing or failed ones, so a run killed mid-flight loses nothing;
 * **per-cell wall-clock timeouts with degrading retries** — each cell runs
-  in its own subprocess; one that exceeds its budget is killed and retried
+  on a persistent :class:`~repro.framework.pool.Worker` process; one that
+  exceeds its budget has its worker killed and is retried
   with exponential backoff at a halved ``max_blocks_simulated``, bottoming
   out at a ``status="degraded"`` record that carries the reduced fidelity
   in ``extra`` instead of passing a sampled run off as a full one;
@@ -33,13 +35,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import multiprocessing as mp
 import os
 import threading
 import time
 import uuid
 import zlib
 from collections.abc import Callable, Mapping, Sequence
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,7 +54,8 @@ from ..graph import io as gio
 from ..graph.datasets import get_spec, load_oriented, size_class, warm_cache
 from ..obs.flightrec import maybe_dump
 from ..obs.metrics import get_metrics
-from ..obs.tracer import absorb_forwarded, attach_forwarded, forwarding_buffer, get_tracer
+from ..obs.tracer import get_tracer
+from .pool import CellTimeout, Worker, WorkerDied, resolve_jobs
 from .runner import DEFAULT_MAX_BLOCKS, RunRecord, run_one_safe
 
 __all__ = [
@@ -67,7 +70,6 @@ __all__ = [
     "RunJournal",
     "chaos_from_env",
     "corrupt_cached_bundle",
-    "default_jobs",
     "execute_cell",
     "expected_triangles",
     "new_run_id",
@@ -75,7 +77,7 @@ __all__ = [
     "record_from_dict",
     "record_to_dict",
     "run_cell_resilient",
-    "run_cells_resilient",
+    "run_cells",
     "runs_root",
     "seeded_jitter",
     "set_chaos_kill_budget",
@@ -321,19 +323,8 @@ def chaos_post_run(
 
 
 # --------------------------------------------------------------------------
-# shared cell-execution helpers (also used by repro.framework.parallel)
+# shared cell-execution helpers
 # --------------------------------------------------------------------------
-
-
-def default_jobs() -> int:
-    """Worker count used when ``jobs`` is 0/None: one per CPU core."""
-    return max(1, os.cpu_count() or 1)
-
-
-def _resolve_jobs(jobs: int | None, n_items: int) -> int:
-    if not jobs:
-        jobs = default_jobs()
-    return max(1, min(int(jobs), n_items)) if n_items else 1
 
 
 def _algorithm_name(algorithm) -> str:
@@ -372,58 +363,52 @@ def execute_cell(
 ) -> RunRecord:
     """One matrix cell with chaos hooks and optional validation; never raises.
 
-    This is the shared worker body: the process-pool executor
-    (:mod:`repro.framework.parallel`) and the resilient per-cell
-    subprocesses both run cells through here, so fault injection and
-    quarantine behave identically on every execution path.  Telemetry
-    emitted while the cell runs is buffered and attached to the record
-    (:func:`repro.obs.tracer.attach_forwarded`) so worker-process spans
-    reach the parent's sinks over the existing result channel.
+    This is the body every worker process runs for a cell, so fault
+    injection and quarantine behave identically on every execution path.
     """
     specs = chaos_from_env()
-    with forwarding_buffer() as buf:
-        with get_tracer().span(
-            "cell",
-            level="info",
-            algorithm=_algorithm_name(algorithm),
-            dataset=dataset,
-            engine=engine or "",
-            blocks=max_blocks_simulated,
-        ) as span:
-            try:
-                chaos_pre_run(
-                    _algorithm_name(algorithm),
-                    dataset,
-                    ordering=ordering,
-                    blocks=max_blocks_simulated,
-                    specs=specs,
-                )
-                record = run_one_safe(
-                    algorithm,
-                    dataset,
-                    device=device,
-                    capacity_device=capacity_device,
-                    ordering=ordering,
-                    max_blocks_simulated=max_blocks_simulated,
-                    cost_model=cost_model,
-                    engine=engine,
-                )
-                record = chaos_post_run(record, specs=specs)
-            except Exception as exc:
-                # run_one_safe already captures algorithm errors; this catches
-                # the chaos hooks and anything raised before run_one_safe.
-                record = _failed_record(algorithm, dataset, device, exc)
-            if validate and record.status == "ok":
-                record = validate_record(record, ordering=ordering)
-            span.set(status=record.status)
-            if record.status == "failed":
-                get_tracer().warning(
-                    "cell_failed",
-                    algorithm=record.algorithm,
-                    dataset=record.dataset,
-                    error=record.error or "",
-                )
-    return attach_forwarded(record, buf.events, metrics=buf.metrics_delta)
+    with get_tracer().span(
+        "cell",
+        level="info",
+        algorithm=_algorithm_name(algorithm),
+        dataset=dataset,
+        engine=engine or "",
+        blocks=max_blocks_simulated,
+    ) as span:
+        try:
+            chaos_pre_run(
+                _algorithm_name(algorithm),
+                dataset,
+                ordering=ordering,
+                blocks=max_blocks_simulated,
+                specs=specs,
+            )
+            record = run_one_safe(
+                algorithm,
+                dataset,
+                device=device,
+                capacity_device=capacity_device,
+                ordering=ordering,
+                max_blocks_simulated=max_blocks_simulated,
+                cost_model=cost_model,
+                engine=engine,
+            )
+            record = chaos_post_run(record, specs=specs)
+        except Exception as exc:
+            # run_one_safe already captures algorithm errors; this catches
+            # the chaos hooks and anything raised before run_one_safe.
+            record = _failed_record(algorithm, dataset, device, exc)
+        if validate and record.status == "ok":
+            record = validate_record(record, ordering=ordering)
+        span.set(status=record.status)
+        if record.status == "failed":
+            get_tracer().warning(
+                "cell_failed",
+                algorithm=record.algorithm,
+                dataset=record.dataset,
+                error=record.error or "",
+            )
+    return record
 
 
 # --------------------------------------------------------------------------
@@ -624,10 +609,6 @@ class RunJournal:
 # --------------------------------------------------------------------------
 
 
-class CellTimeout(Exception):
-    """A cell attempt exceeded its wall-clock budget and was killed."""
-
-
 def seeded_jitter(seed: int, key: str, attempt: int) -> float:
     """Deterministic jitter draw in ``[-1, 1)`` for one backoff decision.
 
@@ -644,7 +625,8 @@ def seeded_jitter(seed: int, key: str, attempt: int) -> float:
 class RetryPolicy:
     """Wall-clock and retry budget for one matrix cell.
 
-    Every timeout kills the attempt's subprocess, sleeps an exponential
+    Every timeout kills the attempt's worker process (the next attempt
+    runs on a freshly forked one), sleeps an exponential
     backoff, and retries at ``degrade_factor`` of the previous block
     budget (an unlimited ``None`` budget degrades to
     :data:`~repro.framework.runner.DEFAULT_MAX_BLOCKS` first), never below
@@ -697,10 +679,10 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * seeded_jitter(self.jitter_seed, key, attempt))
 
 
-#: Error-text markers of a worker process that died without reporting —
-#: produced by :func:`_attempt_cell`; the scheduler's supervision layer
-#: keys its restart/circuit-break decisions on these.
-WORKER_DEATH_MARKERS = ("worker process died", "worker pipe closed")
+#: Error-text marker of a worker process that died without reporting (the
+#: :class:`~repro.framework.pool.WorkerDied` message); the scheduler's
+#: supervision layer keys its restart/circuit-break decisions on it.
+WORKER_DEATH_MARKERS = ("worker process died",)
 
 
 def is_worker_death(record: RunRecord) -> bool:
@@ -710,105 +692,39 @@ def is_worker_death(record: RunRecord) -> bool:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _mp_context():
-    """Prefer ``fork`` (workers inherit warm replica caches) when available."""
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return mp.get_context()
-
-
-def _cell_worker(conn, algorithm, dataset, device, capacity_device, ordering,
-                 blocks, cost_model, engine, validate) -> None:
-    """Subprocess entry point: run one cell attempt, ship the record back."""
-    try:
-        record = execute_cell(
-            algorithm,
-            dataset,
-            device=device,
-            capacity_device=capacity_device,
-            ordering=ordering,
-            max_blocks_simulated=blocks,
-            cost_model=cost_model,
-            engine=engine,
-            validate=validate,
-        )
-        conn.send(record)
-    finally:
-        conn.close()
-
-
-def _kill(proc) -> None:
-    proc.terminate()
-    proc.join(timeout=2.0)
-    if proc.is_alive():  # pragma: no cover - SIGTERM almost always suffices
-        proc.kill()
-        proc.join(timeout=2.0)
-
-
 def _attempt_cell(
+    worker: Worker | None,
     algorithm,
     dataset: str,
     *,
     device: DeviceSpec,
-    capacity_device: DeviceSpec,
-    ordering: str,
     blocks: int | None,
-    cost_model: CostModel | None,
-    engine: str | None,
-    validate: bool,
     timeout_s: float | None,
+    **cell,
 ) -> RunRecord:
-    """One attempt in a dedicated, killable subprocess.
+    """One attempt on ``worker`` (``None``: a private one, stopped after).
 
-    Returns the worker's record; a worker that dies without reporting
-    (hard exit, segfault) yields a ``failed`` record, and one that outlives
-    ``timeout_s`` is killed and surfaces as :class:`CellTimeout`.
+    A worker that dies without reporting (hard exit, segfault) yields a
+    ``failed`` record; one that outlives ``timeout_s`` is killed and
+    surfaces as :class:`CellTimeout`.
     """
-    ctx = _mp_context()
-    recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(
-        target=_cell_worker,
-        args=(send, algorithm, dataset, device, capacity_device, ordering,
-              blocks, cost_model, engine, validate),
-        daemon=True,
-    )
-    proc.start()
-    send.close()
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    if worker is None:
+        with closing(Worker()) as own:
+            return _attempt_cell(own, algorithm, dataset, device=device, blocks=blocks,
+                                 timeout_s=timeout_s, **cell)
     try:
-        while True:
-            if recv.poll(0.02):
-                try:
-                    record = recv.recv()
-                except (EOFError, OSError):
-                    record = None
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - lingering worker
-                    _kill(proc)
-                if record is not None:
-                    return record
-                return _failed_record(
-                    algorithm, dataset, device,
-                    RuntimeError(f"worker pipe closed unexpectedly (exit code {proc.exitcode})"),
-                )
-            if not proc.is_alive():
-                if recv.poll(0):  # result raced with process exit
-                    continue
-                proc.join()
-                return _failed_record(
-                    algorithm, dataset, device,
-                    RuntimeError(f"worker process died with exit code {proc.exitcode}"),
-                )
-            if deadline is not None and time.monotonic() >= deadline:
-                _kill(proc)
-                raise CellTimeout(
-                    f"cell ({_algorithm_name(algorithm)}, {dataset}) exceeded "
-                    f"{timeout_s:.3g}s wall clock at {blocks if blocks else 'full'} blocks"
-                )
-    finally:
-        recv.close()
+        return worker.call(
+            execute_cell, (algorithm, dataset),
+            dict(cell, device=device, max_blocks_simulated=blocks),
+            timeout=timeout_s,
+        )
+    except WorkerDied as exc:
+        return _failed_record(algorithm, dataset, device, exc)
+    except CellTimeout:
+        raise CellTimeout(
+            f"cell ({_algorithm_name(algorithm)}, {dataset}) exceeded "
+            f"{timeout_s:.3g}s wall clock at {blocks if blocks else 'full'} blocks"
+        ) from None
 
 
 def run_cell_resilient(
@@ -816,6 +732,7 @@ def run_cell_resilient(
     dataset: str,
     *,
     policy: RetryPolicy | None = None,
+    worker: Worker | None = None,
     device: DeviceSpec = SIM_V100,
     capacity_device: DeviceSpec = TESLA_V100,
     ordering: str = "degree",
@@ -824,11 +741,12 @@ def run_cell_resilient(
     engine: str | None = None,
     validate: bool = True,
 ) -> RunRecord:
-    """Run one cell under the timeout + degrading-retry policy.
+    """Run one cell on ``worker`` under the timeout + degrading-retry policy.
 
     Never raises: timeouts exhaust into a ``failed`` record, and a success
     after degradation is reported as ``status="degraded"`` with the
-    original and final block budgets in ``extra["degradation"]``.
+    original and final block budgets in ``extra["degradation"]``.  Without
+    a ``worker`` each attempt runs on a private one.
     """
     policy = policy or RetryPolicy()
     initial = max_blocks_simulated
@@ -838,6 +756,7 @@ def run_cell_resilient(
     for attempt in range(policy.max_attempts):
         try:
             record = _attempt_cell(
+                worker,
                 algorithm,
                 dataset,
                 device=device,
@@ -888,7 +807,7 @@ def run_cell_resilient(
                     },
                 },
             )
-        return absorb_forwarded(record)
+        return record
     get_tracer().error(
         "cell_exhausted",
         algorithm=_algorithm_name(algorithm),
@@ -915,11 +834,11 @@ def run_cell_resilient(
 
 
 # --------------------------------------------------------------------------
-# resilient matrix executor
+# matrix executor
 # --------------------------------------------------------------------------
 
 
-def run_cells_resilient(
+def run_cells(
     cells: Sequence[tuple[str, str]],
     *,
     jobs: int | None = None,
@@ -930,16 +849,17 @@ def run_cells_resilient(
     cost_model: CostModel | None = None,
     engine: str | None = None,
     policy: RetryPolicy | None = None,
-    validate: bool = True,
+    validate: bool = False,
     journal: RunJournal | None = None,
     completed: Mapping[tuple[str, str], RunRecord] | None = None,
     progress_callback: Callable[[RunRecord, int, int], None] | None = None,
 ) -> list[RunRecord]:
-    """Resilient analogue of :func:`repro.framework.parallel.run_cells`.
+    """Execute ``(algorithm, dataset)`` cells on supervised worker processes.
 
-    Each pending cell runs in its own killable subprocess under the
-    timeout/degrading-retry ``policy``; ``jobs`` worker *threads* drive the
-    subprocesses concurrently.  Cells present in ``completed`` (typically
+    A :class:`~repro.framework.scheduler.JobScheduler` with ``jobs``
+    threads (``None``/0: one per core), each owning one persistent worker
+    process, drains the pending cells under the timeout/degrading-retry
+    ``policy`` and worker-death supervision.  Cells present in ``completed`` (typically
     ``journal.completed()`` on resume) are emitted as-is without re-running;
     every freshly executed record is appended to ``journal`` the moment it
     finishes, so progress survives a parent-process death.  The returned
@@ -972,9 +892,6 @@ def run_cells_resilient(
 
     def _finish(i: int, record: RunRecord, *, fresh: bool) -> None:
         nonlocal done
-        # Worker telemetry (if any survived this far) must never reach the
-        # journal: pop and re-emit it locally before persisting the record.
-        absorb_forwarded(record)
         with lock:
             results[i] = record
             done += 1
@@ -988,13 +905,14 @@ def run_cells_resilient(
             _finish(i, results[i], fresh=False)
 
     if pending:
-        # Generate every replica once in the parent: forked attempt
-        # subprocesses inherit the warm memory cache, spawned ones hit the
-        # disk cache (see parallel.run_cells for the same trick).
+        # Generate every replica once in the parent, so the workers forked
+        # afterwards inherit the warm memory cache instead of racing to
+        # rebuild the same graphs.
         warm_cache(
             sorted({cells[i][1] for i in pending}), orderings=(ordering,), strict=False
         )
-        workers = _resolve_jobs(jobs, len(pending))
+        workers = resolve_jobs(jobs, len(pending))
+        get_tracer().info("fanout", jobs=workers, cells=len(pending))
 
         # The batch path and the serve daemon drive the same scheduler
         # (scheduler/executor split): submit every pending cell, let the

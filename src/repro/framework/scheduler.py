@@ -5,7 +5,7 @@ full list to an executor and wait.  A long-running service needs the
 missing half: a component that *owns a queue* and decides, continuously,
 which cell to run next, with what fidelity, and under which wall-clock
 budget.  :class:`JobScheduler` is that component, and it is deliberately
-transport-agnostic: :func:`repro.framework.resilience.run_cells_resilient`
+transport-agnostic: :func:`repro.framework.resilience.run_cells`
 (and through it ``run_matrix``) submits a fixed batch and drains it, while
 :mod:`repro.serve.server` keeps one scheduler alive for days and feeds it
 jobs from sockets.  Both drive the same code path, so every robustness
@@ -15,18 +15,19 @@ daemon:
 * **priority queue** — higher ``priority`` runs first; ties run FIFO in
   submission order, so a batch submit degenerates to the legacy ordering;
 * **deadlines** — a job's wall-clock deadline propagates into the cell
-  timeout of the executor underneath (the attempt subprocess is killed
-  when the deadline passes, not merely noticed late), and a job that is
+  timeout of the executor underneath (the worker process is killed when
+  the deadline passes, not merely noticed late), and a job that is
   already past its deadline when popped terminals immediately as
   ``failed`` with a ``DeadlineExpired`` error instead of wasting a worker;
 * **graceful degradation** — a job admitted at ``shed_level > 0`` runs at
   ``max_blocks >> shed_level`` (the same halving ladder the timeout
   degradation uses), trading sampled-grid precision for queue drain
   before any job has to be rejected outright;
-* **worker supervision** — each execution happens in a killable
-  subprocess via :func:`~repro.framework.resilience.run_cell_resilient`;
-  a worker that dies without reporting (segfault-style ``os._exit``, the
-  ``worker_kill_midjob`` chaos mode) is restarted under exponential
+* **worker supervision** — each scheduler thread owns one persistent,
+  killable :class:`~repro.framework.pool.Worker` process and runs its jobs
+  there via :func:`~repro.framework.resilience.run_cell_resilient`; a
+  worker that dies without reporting (segfault-style ``os._exit``, the
+  ``worker_kill_midjob`` chaos mode) is re-forked under exponential
   backoff with seeded jitter, and after ``max_worker_deaths`` deaths the
   job is *circuit-broken*: terminal ``failed`` with
   ``extra["circuit_open"]`` so a poisoned input can't eat the pool.
@@ -51,6 +52,7 @@ from ..gpu.device import SIM_V100, TESLA_V100, DeviceSpec
 from ..obs.flightrec import maybe_dump
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
+from .pool import Worker
 from .resilience import (
     RetryPolicy,
     _algorithm_name,
@@ -186,6 +188,10 @@ class JobHandle:
 class JobScheduler:
     """Bounded pool of worker threads draining a priority job queue.
 
+    Each thread owns one :class:`~repro.framework.pool.Worker` process,
+    forked on the thread's first job, re-forked after a timeout or death,
+    and stopped when the thread exits after :meth:`shutdown`.
+
     ``on_event(name, job, payload)`` fires on every lifecycle transition
     (``job_queued`` / ``job_started`` / ``job_worker_restart`` /
     ``job_done``) from whichever thread made the transition; the serve
@@ -228,9 +234,11 @@ class JobScheduler:
         self._closed = False
         self._running = 0
         self._completed = 0
+        self._workers = [Worker() for _ in range(workers)]
         self._threads = [
-            threading.Thread(target=self._loop, name=f"repro-sched-{i}", daemon=True)
-            for i in range(workers)
+            threading.Thread(target=self._loop, args=(worker,), name=f"repro-sched-{i}",
+                             daemon=True)
+            for i, worker in enumerate(self._workers)
         ]
         for t in self._threads:
             t.start()
@@ -283,7 +291,12 @@ class JobScheduler:
         return True
 
     def shutdown(self, *, wait: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting jobs; optionally drain what is already queued."""
+        """Stop accepting jobs; optionally drain what is already queued.
+
+        Idle threads exit and stop their worker processes before this
+        returns; a thread still running a job stops its worker when the
+        job ends (or the worker dies with this process).
+        """
         if wait:
             self.drain(timeout=timeout)
         with self._cv:
@@ -311,21 +324,24 @@ class JobScheduler:
                 return handle
             return None
 
-    def _loop(self) -> None:
-        while True:
-            handle = self._pop()
-            if handle is None:
-                return
-            try:
-                record = self._run_handle(handle)
-            except Exception as exc:  # pragma: no cover - defensive
-                record = _failed_record(
-                    handle.job.algorithm, handle.job.dataset,
-                    self.defaults["device"], exc,
-                )
-            self._finish(handle, record)
+    def _loop(self, worker: Worker) -> None:
+        try:
+            while True:
+                handle = self._pop()
+                if handle is None:
+                    return
+                try:
+                    record = self._run_handle(handle, worker)
+                except Exception as exc:  # pragma: no cover - defensive
+                    record = _failed_record(
+                        handle.job.algorithm, handle.job.dataset,
+                        self.defaults["device"], exc,
+                    )
+                self._finish(handle, record)
+        finally:
+            worker.close()
 
-    def _run_handle(self, handle: JobHandle) -> RunRecord:
+    def _run_handle(self, handle: JobHandle, worker: Worker) -> RunRecord:
         job = handle.job
         with handle._lock:
             if handle._cancelled:
@@ -346,7 +362,7 @@ class JobScheduler:
             registry.inc("sched_jobs_started")
             registry.observe("sched_queue_wait_s", handle.started_at - handle.submitted_at)
             registry.gauge("sched_queue_depth", self.queue_depth())
-        return self._execute_supervised(handle)
+        return self._execute_supervised(handle, worker)
 
     def _terminal_failed(self, job: CellJob, error: str) -> RunRecord:
         record = _failed_record(
@@ -365,7 +381,7 @@ class JobScheduler:
         timeout = remaining if timeout is None else min(timeout, remaining)
         return dataclasses.replace(self.policy, cell_timeout_s=timeout)
 
-    def _execute_supervised(self, handle: JobHandle) -> RunRecord:
+    def _execute_supervised(self, handle: JobHandle, worker: Worker) -> RunRecord:
         """Run one job to a terminal record under worker supervision."""
         job = handle.job
         over = job.overrides
@@ -389,6 +405,7 @@ class JobScheduler:
                 job.algorithm,
                 job.dataset,
                 policy=policy,
+                worker=worker,
                 device=self.defaults["device"],
                 capacity_device=self.defaults["capacity_device"],
                 ordering=over.get("ordering", self.defaults["ordering"]),
@@ -437,9 +454,10 @@ class JobScheduler:
         ..., "seed": ..., "jobs": ...}``; the partition fan-out happens
         inside :func:`repro.framework.cluster.run_cluster`, sharing the
         scheduler's shed-block budget and per-job engine/ordering
-        overrides.  Cluster cells run in-process (the partition workers
-        are the supervised processes), so any setup error is captured
-        here rather than looping the worker-death supervisor.
+        overrides.  Cluster cells run in this thread (partitions fan out
+        over :func:`~repro.framework.pool.parallel_starmap` workers), so
+        any setup error is captured here rather than looping the
+        worker-death supervisor.
         """
         from .cluster import cluster_to_run_record, run_cluster  # local: avoids import cycle
 

@@ -18,6 +18,7 @@ from ..algorithms.base import get_algorithm
 from ..gpu.device import SIM_V100, DeviceSpec
 from ..gpu.engine import use_engine
 from ..graph.datasets import load_oriented
+from .pool import parallel_starmap
 from .runner import DEFAULT_MAX_BLOCKS
 
 __all__ = ["SweepPoint", "sweep_config", "best_config"]
@@ -83,11 +84,8 @@ def sweep_config(
         (algorithm, dataset, config, device, ordering, max_blocks_simulated, engine)
         for config in configs
     ]
-    if jobs == 1 or len(argtuples) <= 1:
-        return [_sweep_point(*args) for args in argtuples]
-    from .parallel import parallel_starmap
-
-    load_oriented(dataset, ordering)  # warm the shared replica cache once
+    if jobs != 1 and len(argtuples) > 1:
+        load_oriented(dataset, ordering)  # warm the replica cache the workers fork with
     return parallel_starmap(_sweep_point, argtuples, jobs=jobs)
 
 

@@ -42,9 +42,7 @@ from .tracer import (
     JsonlSink,
     StderrSink,
     Tracer,
-    absorb_forwarded,
     configure,
-    forwarding_buffer,
     get_tracer,
     set_tracer,
     telemetry_path,
@@ -65,13 +63,11 @@ __all__ = [
     "StderrSink",
     "TELEMETRY_SCHEMA",
     "Tracer",
-    "absorb_forwarded",
     "active_collector",
     "capturing_launches",
     "collecting",
     "configure",
     "configure_metrics",
-    "forwarding_buffer",
     "get_flight_recorder",
     "get_metrics",
     "get_tracer",

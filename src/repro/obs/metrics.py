@@ -24,11 +24,10 @@ every process uses the same implicit bucket boundaries.  Quantiles estimated
 from buckets are within a factor of 2 of the true value, tightened by the
 recorded exact min/max.
 
-Worker → parent propagation rides the PR 5 telemetry forwarding path: cell
-workers attach a *delta* snapshot (observations made during the cell, not the
-process lifetime — pool workers persist across cells and would double-count
-otherwise) to the returned record's ``extra``; the parent's
-``absorb_forwarded`` folds foreign-pid deltas into the live registry.
+Worker → parent propagation rides the reply of :mod:`repro.framework.pool`:
+each worker reply carries a *delta* snapshot (observations made during
+that call, not the process lifetime — workers persist across calls and
+would double-count otherwise), which the parent merges into its registry.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 __all__ = [
     "METRICS_SCHEMA",
     "METRICS_ENV",
-    "METRICS_FORWARD_KEY",
     "MetricsRegistry",
     "get_metrics",
     "set_metrics",
@@ -62,10 +60,6 @@ METRICS_SCHEMA = 1
 #: Environment toggle: "1" enables the process-wide registry (propagated to
 #: worker processes by :func:`configure_metrics`, mirroring ``REPRO_LOG``).
 METRICS_ENV = "REPRO_METRICS"
-
-#: ``record.extra`` key carrying a worker's delta snapshot back to the parent
-#: (sibling of the tracer's ``FORWARD_KEY``).
-METRICS_FORWARD_KEY = "metrics_delta"
 
 #: Bucket key for non-positive observations (durations clamp here).
 _ZERO_BUCKET = "z"
@@ -418,7 +412,7 @@ def to_prometheus(snap: Mapping[str, Any]) -> str:
 
 
 # --------------------------------------------------------------------------
-# process-wide registry + worker forwarding
+# process-wide registry
 # --------------------------------------------------------------------------
 
 
@@ -455,41 +449,3 @@ def configure_metrics(enabled: bool = True, *, propagate_env: bool = True) -> Me
         else:
             os.environ.pop(METRICS_ENV, None)
     return _REGISTRY
-
-
-def capture_baseline() -> Optional[Dict[str, Any]]:
-    """Snapshot for later :func:`delta_since`; None when disabled (free)."""
-    if not _REGISTRY.enabled:
-        return None
-    return _REGISTRY.snapshot()
-
-
-def delta_since(baseline: Optional[Mapping[str, Any]]) -> Optional[Dict[str, Any]]:
-    """Delta snapshot of everything observed since ``capture_baseline``.
-
-    Returns None when the registry is disabled or nothing changed, so callers
-    can skip attaching empty payloads.
-    """
-    if not _REGISTRY.enabled:
-        return None
-    delta = delta_snapshots(_REGISTRY.snapshot(), baseline)
-    if snapshot_is_empty(delta):
-        return None
-    return delta
-
-
-def absorb_delta(extra: Optional[Dict[str, Any]]) -> None:
-    """Fold a foreign-pid delta stashed under ``METRICS_FORWARD_KEY``.
-
-    Pops the key from ``extra`` (a record's mutable extra dict) so the
-    payload is merged exactly once.  Same-pid deltas are dropped: the serial
-    path already counted them in-place.
-    """
-    if not extra:
-        return
-    snap = extra.pop(METRICS_FORWARD_KEY, None)
-    if not snap or not _REGISTRY.enabled:
-        return
-    if snap.get("pid") == os.getpid():
-        return
-    _REGISTRY.merge(snap)

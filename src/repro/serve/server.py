@@ -3,8 +3,8 @@
 Architecture::
 
     client ──conn──▶ reader thread ──▶ admission ──▶ JobScheduler (threads)
-                        │                  │               │ killable
-                        ▼                  ▼               ▼ subprocesses
+                        │                  │               │ one killable
+                        ▼                  ▼               ▼ worker each
                     writer thread ◀── outbound queue ◀── completion hooks
                                            │
                                     JobJournal (fsync'd accepted/terminal)
@@ -15,7 +15,8 @@ stops reading fills its queue and is disconnected (backpressure) instead
 of blocking a scheduler completion hook.  All jobs from all connections
 multiplex onto one :class:`~repro.framework.scheduler.JobScheduler`, so
 the replica and trace caches are shared across clients by construction
-(the scheduler's forked workers inherit the parent's warm caches).
+(each scheduler thread's persistent worker is forked from the daemon and
+inherits its warm caches).
 
 Failure semantics (the contract the README table documents):
 

@@ -10,8 +10,9 @@ failure surfaces of the studied kernels:
   orientation and granularity switches (Bisson's degree switch, TRUST's
   1024/32 heuristic, GroupTC's chunking) change code paths;
 * duplicate-heavy lists stress deduplication and idempotence;
-* bucket-collider graphs place every vertex id in the same 32-bucket hash
-  class and on bitmap word boundaries.
+* bucket-collider graphs place every clique vertex id in the same
+  32-bucket hash class and on bitmap word boundaries, and keep those ids
+  through cleaning.
 
 ``generate_case(seed, max_edges)`` is fully deterministic: the seed picks
 the strategy round-robin and feeds a ``numpy`` PCG64 generator, so any
@@ -102,15 +103,30 @@ def duplicate_heavy(rng: np.random.Generator, max_edges: int) -> np.ndarray:
 
 
 def bucket_collider(rng: np.random.Generator, max_edges: int) -> np.ndarray:
-    """All vertex ids congruent mod 32: worst-case hash chains and ids that
-    sit exactly on 32-bit bitmap word boundaries."""
+    """A clique whose vertex ids are all congruent mod 32: worst-case hash
+    chains and ids that sit exactly on 32-bit bitmap word boundaries.
+
+    Cleaning compacts vertex ids, so every other id below the largest
+    member hangs off the next member above it.  Compaction is then the
+    identity and the kernels see the collision.  ``k`` shrinks until clique
+    plus filler fit ``max_edges`` (below ~32 edges the tail is cut and the
+    ids compact).
+    """
     k = int(rng.integers(2, 12))
     offset = int(rng.integers(0, 32))
+    # other ids below the top member: 31 * (k - 1) + offset
+    while k > 2 and k * (k - 1) // 2 + 31 * (k - 1) + offset > max_edges:
+        k -= 1
     ids = np.arange(k, dtype=np.int64) * 32 + offset
     iu, iv = np.triu_indices(k, k=1)
-    pairs = np.stack([ids[iu], ids[iv]], axis=1)
-    keep = rng.random(pairs.shape[0]) < float(rng.uniform(0.3, 1.0))
-    return pairs[keep][:max_edges]
+    keep = rng.random(iu.size) < float(rng.uniform(0.3, 1.0))
+    keep[iv == iu + 1] = True  # a path through the members keeps every one
+    clique = np.stack([ids[iu[keep]], ids[iv[keep]]], axis=1)
+    # Degree one makes the filler triangle-free, and every edge's larger
+    # end stays in the members' residue class.
+    others = np.setdiff1d(np.arange(ids[-1], dtype=np.int64), ids)
+    filler = np.stack([others, ids[np.searchsorted(ids, others)]], axis=1)
+    return np.concatenate([clique, filler])[:max_edges]
 
 
 def sparse_noise(rng: np.random.Generator, max_edges: int) -> np.ndarray:

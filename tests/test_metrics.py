@@ -18,14 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.framework.parallel import run_cells
+from repro.framework import run_cells
 from repro.obs.metrics import (
     METRICS_ENV,
-    METRICS_FORWARD_KEY,
     METRICS_SCHEMA,
     MetricsRegistry,
     _bucket_key,
-    absorb_delta,
     delta_snapshots,
     empty_snapshot,
     hist_quantile,
@@ -203,17 +201,6 @@ class TestSnapshotAlgebra:
         assert delta["hists"]["h"]["sum"] == 2.0
         # nothing changed -> empty delta
         assert snapshot_is_empty(delta_snapshots(reg.snapshot(), reg.snapshot()))
-
-    def test_absorb_delta_skips_same_pid(self, registry):
-        snap = {"schema": METRICS_SCHEMA, "pid": os.getpid(),
-                "counters": {"x": 1.0}, "gauges": {}, "hists": {}}
-        absorb_delta({METRICS_FORWARD_KEY: snap})
-        assert registry.get("x") == 0.0  # serial path already counted it
-        foreign = dict(snap, pid=os.getpid() + 1)
-        extra = {METRICS_FORWARD_KEY: foreign}
-        absorb_delta(extra)
-        assert registry.get("x") == 1.0
-        assert METRICS_FORWARD_KEY not in extra  # merged exactly once
 
 
 # -- worker forwarding: jobs=1 == jobs=N ------------------------------------

@@ -12,14 +12,13 @@ import os
 import pytest
 
 from repro.framework.cli import main
-from repro.framework.parallel import run_cells
+from repro.framework import run_cells
 from repro.gpu.metrics import ProfileMetrics
 from repro.obs.attribution import LINE_FIELDS, LineProfileCollector
 from repro.obs.chrome import timeline_to_trace, validate_trace, write_trace
 from repro.obs.session import profile_run
 from repro.obs.timeline import build_timeline
 from repro.obs.tracer import (
-    FORWARD_KEY,
     TELEMETRY_SCHEMA,
     BufferSink,
     JsonlSink,
@@ -255,7 +254,7 @@ class TestForwarding:
         cells = [("Polak", "As-Caida"), ("Bisson", "As-Caida")]
         records = run_cells(cells, jobs=2, max_blocks_simulated=4)
         assert [r.status for r in records] == ["ok", "ok"]
-        assert all(FORWARD_KEY not in r.extra for r in records)
+        assert all("telemetry_events" not in r.extra for r in records)
         forwarded = [e for e in tracer_buf.events if e.get("forwarded")]
         assert forwarded, "worker events never reached the parent tracer"
         assert {e["name"] for e in forwarded} >= {"cell", "launch"}
@@ -264,7 +263,7 @@ class TestForwarding:
     def test_serial_path_emits_without_duplicates(self, tracer_buf):
         records = run_cells([("Polak", "As-Caida")], jobs=1, max_blocks_simulated=4)
         assert records[0].status == "ok"
-        assert FORWARD_KEY not in records[0].extra
+        assert "telemetry_events" not in records[0].extra
         cell_ends = [
             e for e in tracer_buf.events
             if e.get("event") == "span_end" and e.get("name") == "cell"
